@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 )
 
 // IDDeltaXOR is the wire discriminator for the lossless downlink delta:
@@ -190,38 +191,89 @@ func ApplyDelta(id byte, payload []byte, base []float64) ([]float64, error) {
 // rejected before inflating.
 const xorDeltaHeader = 8
 
+// xorEncoder is the reusable state behind encodeXORDelta: the 8n-byte XOR
+// scratch, the payload buffer, and a BestSpeed flate writer. A fresh
+// flate.NewWriter costs ~1.2 MB of hash tables and window, which at one
+// encode per tier round dominated the socket runtime's allocation; Reset
+// makes the writer equivalent to a fresh one, so pooled payloads are
+// byte-identical to unpooled ones.
+type xorEncoder struct {
+	raw []byte
+	buf bytes.Buffer
+	zw  *flate.Writer
+}
+
+// xorDecoder is the reusable state behind applyXORDelta: the raw scratch,
+// the payload reader, and a flate reader (which implements
+// flate.Resetter) bound to it.
+type xorDecoder struct {
+	raw   []byte
+	extra [1]byte // trailing-data probe; on the stack it would escape through zr
+	br    bytes.Reader
+	zr    io.ReadCloser
+}
+
+// The pools are shared by every Chain and receiver in the process rather
+// than owned per chain: a tree runtime holds one chain per tier in every
+// child plus the root, and a resident compressor in each of them costs
+// more RSS than the pool saves. sync.Pool drops idle entries across GCs,
+// so a burst of concurrent encodes does not pin memory either.
+var (
+	xorEncoders = sync.Pool{New: func() any {
+		zw, err := flate.NewWriter(nil, flate.BestSpeed)
+		if err != nil {
+			panic(fmt.Sprintf("compress: flate.NewWriter: %v", err)) // impossible: level is valid
+		}
+		return &xorEncoder{zw: zw}
+	}}
+	xorDecoders = sync.Pool{New: func() any {
+		d := new(xorDecoder)
+		d.zr = flate.NewReader(&d.br)
+		return d
+	}}
+)
+
+// growBytes returns b resliced to length n, reallocating only when its
+// capacity is short. The contents are unspecified.
+func growBytes(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
 // encodeXORDelta serializes cur relative to base as the XOR of their
 // float64 bit patterns, DEFLATE-compressed. Nearby model versions share
 // sign, exponent, and high mantissa bits, so the XOR stream is mostly
 // zero bytes and deflates well; an unchanged coordinate contributes eight
 // zero bytes. The format is an 8-byte little-endian count followed by the
-// flate stream of the 8n XOR bytes.
+// flate stream of the 8n XOR bytes. In steady state the only allocation
+// is the returned payload.
 func encodeXORDelta(cur, base []float64) []byte {
-	raw := make([]byte, 8*len(cur))
+	e := xorEncoders.Get().(*xorEncoder)
+	defer xorEncoders.Put(e)
+	e.raw = growBytes(e.raw, 8*len(cur))
 	for i := range cur {
 		x := math.Float64bits(cur[i]) ^ math.Float64bits(base[i])
-		binary.LittleEndian.PutUint64(raw[8*i:], x)
+		binary.LittleEndian.PutUint64(e.raw[8*i:], x)
 	}
-	var buf bytes.Buffer
-	buf.Grow(xorDeltaHeader + len(raw)/4)
+	e.buf.Reset()
 	var hdr [xorDeltaHeader]byte
 	binary.LittleEndian.PutUint64(hdr[:], uint64(len(cur)))
-	buf.Write(hdr[:])
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		panic(fmt.Sprintf("compress: flate.NewWriter: %v", err)) // impossible: level is valid
-	}
-	if _, err := zw.Write(raw); err != nil {
+	e.buf.Write(hdr[:])
+	e.zw.Reset(&e.buf)
+	if _, err := e.zw.Write(e.raw); err != nil {
 		panic(fmt.Sprintf("compress: flate write: %v", err)) // bytes.Buffer cannot fail
 	}
-	if err := zw.Close(); err != nil {
+	if err := e.zw.Close(); err != nil {
 		panic(fmt.Sprintf("compress: flate close: %v", err))
 	}
-	return buf.Bytes()
+	return bytes.Clone(e.buf.Bytes())
 }
 
 // applyXORDelta reconstructs the broadcast vector from an XOR delta
-// payload and the held base.
+// payload and the held base. It inflates at most 8n+1 bytes whatever the
+// stream claims, and in steady state allocates only the returned vector.
 func applyXORDelta(payload []byte, base []float64) ([]float64, error) {
 	if len(payload) < xorDeltaHeader {
 		return nil, fmt.Errorf("compress: xor delta payload %d bytes, want >= %d", len(payload), xorDeltaHeader)
@@ -230,23 +282,31 @@ func applyXORDelta(payload []byte, base []float64) ([]float64, error) {
 	if n != uint64(len(base)) {
 		return nil, fmt.Errorf("compress: xor delta for %d params, base has %d", n, len(base))
 	}
-	raw := make([]byte, 8*len(base))
-	zr := flate.NewReader(bytes.NewReader(payload[xorDeltaHeader:]))
-	if _, err := io.ReadFull(zr, raw); err != nil {
+	d := xorDecoders.Get().(*xorDecoder)
+	defer func() {
+		d.br.Reset(nil) // do not pin the caller's payload while pooled
+		xorDecoders.Put(d)
+	}()
+	d.raw = growBytes(d.raw, 8*len(base))
+	d.br.Reset(payload[xorDeltaHeader:])
+	// Reset clears any error a previous, failed decode left behind.
+	if err := d.zr.(flate.Resetter).Reset(&d.br, nil); err != nil {
+		return nil, fmt.Errorf("compress: xor delta reset: %v", err)
+	}
+	if _, err := io.ReadFull(d.zr, d.raw); err != nil {
 		return nil, fmt.Errorf("compress: xor delta inflate: %v", err)
 	}
 	// The stream must hold exactly 8n bytes; trailing garbage means the
 	// payload was built against a different-length vector.
-	var extra [1]byte
-	if m, _ := zr.Read(extra[:]); m != 0 {
+	if m, _ := d.zr.Read(d.extra[:]); m != 0 {
 		return nil, fmt.Errorf("compress: xor delta has trailing data")
 	}
-	if err := zr.Close(); err != nil {
+	if err := d.zr.Close(); err != nil {
 		return nil, fmt.Errorf("compress: xor delta close: %v", err)
 	}
 	out := make([]float64, len(base))
 	for i := range out {
-		x := binary.LittleEndian.Uint64(raw[8*i:])
+		x := binary.LittleEndian.Uint64(d.raw[8*i:])
 		out[i] = math.Float64frombits(math.Float64bits(base[i]) ^ x)
 	}
 	return out, nil

@@ -1,6 +1,12 @@
 package compress
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"testing"
 )
@@ -97,4 +103,83 @@ func FuzzTopKDecode(f *testing.F) {
 			fuzzRoundTrip(t, c, TopK{Fraction: 1}, data, n)
 		}
 	})
+}
+
+// FuzzApplyDeltaXOR feeds arbitrary lossless delta payloads to a fixed
+// base through the pooled decoder. ApplyDelta must never panic; it either
+// rejects the payload or returns exactly len(base) values, and it must
+// agree with a fresh flate reader capped at 8n+1 inflated bytes, so a
+// stream inflating past the 8n bytes its header promises (a deflate
+// bomb) is always rejected. Decodes that fail halfway leave the pooled
+// reader behind for the next input, so a poisoned reader shows up as a
+// disagreement on a later one.
+func FuzzApplyDeltaXOR(f *testing.F) {
+	base := testVector(64, 5)
+	n := len(base)
+	ch := (&Downlink{}).NewChain()
+	ch.Adopt(base)
+	cur := append([]float64(nil), base...)
+	for step := 0; step < 3; step++ {
+		cur[step*7] += 0.5
+		cur[step*7+1] = math.Copysign(0, -1)
+		// Each payload is against the chain's previous base, which is not
+		// the fuzz base after the first step: those decode to something
+		// else, which is still a valid stream.
+		p, _ := ch.Encode(cur)
+		f.Add(p)
+	}
+	valid := encodeXORDelta(cur, base)
+	f.Add(valid)
+	f.Add(encodeXORDelta(base, base)) // all-zero stream
+	// The bad payloads TestXORDeltaRejectsBadPayloads uses.
+	f.Add(valid[:4])                                                  // truncated header
+	f.Add(encodeXORDelta(base[:n-1], base[:n-1]))                     // length mismatch
+	f.Add(valid[:len(valid)-3])                                       // truncated stream
+	f.Add(encodeXORDelta(make([]float64, n+5), make([]float64, n+5))) // longer vector
+	corrupt := append([]byte(nil), valid...)
+	corrupt[xorDeltaHeader] ^= 0xFF
+	f.Add(corrupt)
+	f.Add(deflateBomb(n, 1<<20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ApplyDelta(IDDeltaXOR, data, base)
+		want, wantErr := refApplyXOR(data, base)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("pooled decode err=%v, fresh reader err=%v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if len(got) != n {
+			t.Fatalf("accepted payload decoded to %d values, want %d", len(got), n)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("coord %d: pooled %x, fresh %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	})
+}
+
+// refApplyXOR decodes an XOR delta payload with a brand-new flate reader
+// that can yield at most 8n+1 bytes, whatever the stream holds.
+func refApplyXOR(payload []byte, base []float64) ([]float64, error) {
+	if len(payload) < xorDeltaHeader || binary.LittleEndian.Uint64(payload) != uint64(len(base)) {
+		return nil, errors.New("bad header")
+	}
+	zr := flate.NewReader(bytes.NewReader(payload[xorDeltaHeader:]))
+	raw, err := io.ReadAll(io.LimitReader(zr, int64(8*len(base)+1)))
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) != 8*len(base) {
+		return nil, fmt.Errorf("stream inflates to %d bytes, want %d", len(raw), 8*len(base))
+	}
+	if err := zr.Close(); err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(base))
+	for i := range out {
+		out[i] = math.Float64frombits(math.Float64bits(base[i]) ^ binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return out, nil
 }

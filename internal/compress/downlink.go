@@ -1,23 +1,21 @@
 package compress
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
+	"math/bits"
 	"strings"
-	"sync"
 )
 
 // IDDeltaXOR is the wire discriminator for the lossless downlink delta:
 // the XOR of the float64 bit patterns of the new and base vectors,
-// DEFLATE-compressed. It deliberately shares the value 0 with IDNone —
-// the two never travel in the same field (IDNone rides uplink codec
-// negotiation, IDDeltaXOR rides the DeltaCodec byte next to a delta
-// payload), and 0 is what a zero-valued gob field decodes to, which makes
-// the lossless delta the default interpretation of any delta payload.
+// byte-packed (see encodeXORDelta). It deliberately shares the value 0
+// with IDNone — the two never travel in the same field (IDNone rides
+// uplink codec negotiation, IDDeltaXOR rides the DeltaCodec byte next to
+// a delta payload), and 0 is what a zero-valued gob field decodes to,
+// which makes the lossless delta the default interpretation of any delta
+// payload.
 const IDDeltaXOR byte = 0
 
 // Downlink describes how the aggregator compresses its broadcast
@@ -27,7 +25,7 @@ const IDDeltaXOR byte = 0
 //
 // A nil *Downlink means dense broadcasts (the pre-delta wire format).
 // A Downlink with a nil Codec is the lossless mode: the delta is the XOR
-// of the float64 bit patterns, DEFLATE-compressed — reconstruction is
+// of the float64 bit patterns, byte-packed — reconstruction is
 // bit-exact by construction (base XOR (cur XOR base) == cur, no floating
 // point arithmetic involved), which is what lets the lockstep parity
 // tests compare delta runs byte-for-byte against dense runs. A non-nil
@@ -128,7 +126,7 @@ func (c *Chain) Adopt(cur []float64) {
 
 // Encode advances the chain from its base to cur and returns the delta
 // payload plus its wire codec ID. In lossless mode the payload is the
-// flate-compressed XOR of bit patterns and the new base is cur itself; in
+// byte-packed XOR of bit patterns and the new base is cur itself; in
 // lossy mode the payload encodes cur − base (plus the carried residual),
 // and the new base is base + decode(payload) — exactly what every
 // receiver reconstructs. Callers must have checked HasBase.
@@ -179,135 +177,133 @@ func ApplyDelta(id byte, payload []byte, base []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(base))
-	for i := range out {
-		out[i] = base[i] + rec[i]
+	// Every Decode returns a slice the caller owns, so the sum goes into
+	// it rather than into a second vector.
+	for i := range rec {
+		rec[i] = base[i] + rec[i]
 	}
-	return out, nil
+	return rec, nil
 }
 
-// xorDeltaHeader is the fixed prefix of an XOR delta payload: an 8-byte
-// little-endian vector length, so truncated or misdirected payloads are
-// rejected before inflating.
-const xorDeltaHeader = 8
+// xorDeltaHeader is the fixed prefix of an XOR delta payload: the 8-byte
+// little-endian vector length, then the mode byte.
+const xorDeltaHeader = 9
 
-// xorEncoder is the reusable state behind encodeXORDelta: the 8n-byte XOR
-// scratch, the payload buffer, and a BestSpeed flate writer. A fresh
-// flate.NewWriter costs ~1.2 MB of hash tables and window, which at one
-// encode per tier round dominated the socket runtime's allocation; Reset
-// makes the writer equivalent to a fresh one, so pooled payloads are
-// byte-identical to unpooled ones.
-type xorEncoder struct {
-	raw []byte
-	buf bytes.Buffer
-	zw  *flate.Writer
-}
-
-// xorDecoder is the reusable state behind applyXORDelta: the raw scratch,
-// the payload reader, and a flate reader (which implements
-// flate.Resetter) bound to it.
-type xorDecoder struct {
-	raw   []byte
-	extra [1]byte // trailing-data probe; on the stack it would escape through zr
-	br    bytes.Reader
-	zr    io.ReadCloser
-}
-
-// The pools are shared by every Chain and receiver in the process rather
-// than owned per chain: a tree runtime holds one chain per tier in every
-// child plus the root, and a resident compressor in each of them costs
-// more RSS than the pool saves. sync.Pool drops idle entries across GCs,
-// so a burst of concurrent encodes does not pin memory either.
-var (
-	xorEncoders = sync.Pool{New: func() any {
-		zw, err := flate.NewWriter(nil, flate.BestSpeed)
-		if err != nil {
-			panic(fmt.Sprintf("compress: flate.NewWriter: %v", err)) // impossible: level is valid
-		}
-		return &xorEncoder{zw: zw}
-	}}
-	xorDecoders = sync.Pool{New: func() any {
-		d := new(xorDecoder)
-		d.zr = flate.NewReader(&d.br)
-		return d
-	}}
+// XOR delta modes. The encoder sends raw only when packing would be
+// larger, so no payload exceeds 9+8n bytes.
+const (
+	xorPacked byte = 0 // width nibbles, then each word's low-order bytes
+	xorRaw    byte = 1 // the 8n XOR bytes as they are
 )
 
-// growBytes returns b resliced to length n, reallocating only when its
-// capacity is short. The contents are unspecified.
-func growBytes(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
-}
+// xorWidth is how many low-order bytes hold x: 8 minus its leading zero
+// bytes, 0 for an unchanged coordinate.
+func xorWidth(x uint64) int { return 8 - bits.LeadingZeros64(x)>>3 }
 
 // encodeXORDelta serializes cur relative to base as the XOR of their
-// float64 bit patterns, DEFLATE-compressed. Nearby model versions share
-// sign, exponent, and high mantissa bits, so the XOR stream is mostly
-// zero bytes and deflates well; an unchanged coordinate contributes eight
-// zero bytes. The format is an 8-byte little-endian count followed by the
-// flate stream of the 8n XOR bytes. In steady state the only allocation
-// is the returned payload.
+// float64 bit patterns. Nearby model versions share sign, exponent and
+// high mantissa bits, so each XOR word has leading zero bytes; the
+// mantissa bytes below them are noise no entropy coder shrinks. After
+// the header, the packed mode holds ⌈n/2⌉ bytes of 4-bit widths
+// wᵢ = xorWidth(xᵢ) (even i in the low nibble, a zero pad nibble for odd
+// n), then the wᵢ low-order bytes of each xᵢ, little-endian, in
+// coordinate order; the raw mode holds the 8n XOR bytes. A first pass
+// sizes the payload exactly, so it is the only allocation.
 func encodeXORDelta(cur, base []float64) []byte {
-	e := xorEncoders.Get().(*xorEncoder)
-	defer xorEncoders.Put(e)
-	e.raw = growBytes(e.raw, 8*len(cur))
+	n, stored := len(cur), 0
+	for i := range cur {
+		stored += xorWidth(math.Float64bits(cur[i]) ^ math.Float64bits(base[i]))
+	}
+	mode, nibbles := xorPacked, (n+1)/2
+	if nibbles+stored > 8*n {
+		mode, nibbles, stored = xorRaw, 0, 8*n
+	}
+	payload := make([]byte, xorDeltaHeader+nibbles+stored)
+	binary.LittleEndian.PutUint64(payload, uint64(n))
+	payload[8] = mode
+	widths, data := payload[xorDeltaHeader:xorDeltaHeader+nibbles], payload[xorDeltaHeader+nibbles:]
+	off := 0
 	for i := range cur {
 		x := math.Float64bits(cur[i]) ^ math.Float64bits(base[i])
-		binary.LittleEndian.PutUint64(e.raw[8*i:], x)
+		w := 8
+		if mode == xorPacked {
+			w = xorWidth(x)
+			widths[i>>1] |= byte(w) << (4 * (i & 1))
+		}
+		if off+8 <= len(data) {
+			// The word's high zero bytes land where the next words go.
+			binary.LittleEndian.PutUint64(data[off:], x)
+		} else {
+			for k := 0; k < w; k++ {
+				data[off+k] = byte(x >> (8 * k))
+			}
+		}
+		off += w
 	}
-	e.buf.Reset()
-	var hdr [xorDeltaHeader]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(cur)))
-	e.buf.Write(hdr[:])
-	e.zw.Reset(&e.buf)
-	if _, err := e.zw.Write(e.raw); err != nil {
-		panic(fmt.Sprintf("compress: flate write: %v", err)) // bytes.Buffer cannot fail
-	}
-	if err := e.zw.Close(); err != nil {
-		panic(fmt.Sprintf("compress: flate close: %v", err))
-	}
-	return bytes.Clone(e.buf.Bytes())
+	return payload
 }
 
 // applyXORDelta reconstructs the broadcast vector from an XOR delta
-// payload and the held base. It inflates at most 8n+1 bytes whatever the
-// stream claims, and in steady state allocates only the returned vector.
+// payload and the held base. It accepts only what encodeXORDelta would
+// have sent — exact length, widths at most 8, a zero pad nibble, a
+// nonzero top byte in every stored word, and the mode the encoder picks
+// — so every accepted payload re-encodes to itself. The length is
+// checked before the returned vector, the only allocation, is made.
 func applyXORDelta(payload []byte, base []float64) ([]float64, error) {
 	if len(payload) < xorDeltaHeader {
 		return nil, fmt.Errorf("compress: xor delta payload %d bytes, want >= %d", len(payload), xorDeltaHeader)
 	}
-	n := binary.LittleEndian.Uint64(payload)
-	if n != uint64(len(base)) {
+	if n := binary.LittleEndian.Uint64(payload); n != uint64(len(base)) {
 		return nil, fmt.Errorf("compress: xor delta for %d params, base has %d", n, len(base))
 	}
-	d := xorDecoders.Get().(*xorDecoder)
-	defer func() {
-		d.br.Reset(nil) // do not pin the caller's payload while pooled
-		xorDecoders.Put(d)
-	}()
-	d.raw = growBytes(d.raw, 8*len(base))
-	d.br.Reset(payload[xorDeltaHeader:])
-	// Reset clears any error a previous, failed decode left behind.
-	if err := d.zr.(flate.Resetter).Reset(&d.br, nil); err != nil {
-		return nil, fmt.Errorf("compress: xor delta reset: %v", err)
+	n, body, packed := len(base), payload[xorDeltaHeader:], payload[8] == xorPacked
+	nibbles, stored := 0, 8*n
+	switch {
+	case packed:
+		nibbles, stored = (n+1)/2, 0
+		if len(body) < nibbles {
+			return nil, fmt.Errorf("compress: xor delta %d bytes, want >= %d of widths", len(body), nibbles)
+		}
+		for _, b := range body[:nibbles] {
+			if b&15 > 8 || b>>4 > 8 {
+				return nil, fmt.Errorf("compress: xor delta width byte %#x", b)
+			}
+			stored += int(b&15 + b>>4)
+		}
+		if n&1 == 1 && body[nibbles-1]>>4 != 0 {
+			return nil, fmt.Errorf("compress: xor delta pad nibble is nonzero")
+		}
+	case payload[8] != xorRaw:
+		return nil, fmt.Errorf("compress: xor delta mode %d", payload[8])
 	}
-	if _, err := io.ReadFull(d.zr, d.raw); err != nil {
-		return nil, fmt.Errorf("compress: xor delta inflate: %v", err)
+	if len(body) != nibbles+stored {
+		return nil, fmt.Errorf("compress: xor delta body %d bytes, want %d", len(body), nibbles+stored)
 	}
-	// The stream must hold exactly 8n bytes; trailing garbage means the
-	// payload was built against a different-length vector.
-	if m, _ := d.zr.Read(d.extra[:]); m != 0 {
-		return nil, fmt.Errorf("compress: xor delta has trailing data")
-	}
-	if err := d.zr.Close(); err != nil {
-		return nil, fmt.Errorf("compress: xor delta close: %v", err)
-	}
-	out := make([]float64, len(base))
+	widths, data := body[:nibbles], body[nibbles:]
+	out := make([]float64, n)
+	off, minimal := 0, 0
 	for i := range out {
-		x := binary.LittleEndian.Uint64(d.raw[8*i:])
+		w := 8
+		if packed {
+			w = int(widths[i>>1]>>(4*(i&1))) & 15
+		}
+		var x uint64
+		if off+8 <= len(data) {
+			x = binary.LittleEndian.Uint64(data[off:]) & (^uint64(0) >> (64 - 8*w))
+		} else {
+			for k := w - 1; k >= 0; k-- {
+				x = x<<8 | uint64(data[off+k])
+			}
+		}
+		if packed && xorWidth(x) != w {
+			return nil, fmt.Errorf("compress: xor delta word %d stored in %d bytes, needs %d", i, w, xorWidth(x))
+		}
+		minimal += xorWidth(x)
+		off += w
 		out[i] = math.Float64frombits(math.Float64bits(base[i]) ^ x)
+	}
+	if raw := (n+1)/2+minimal > 8*n; raw == packed {
+		return nil, fmt.Errorf("compress: xor delta mode %d, but the encoder picks the other", payload[8])
 	}
 	return out, nil
 }

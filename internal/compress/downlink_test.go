@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -61,9 +60,6 @@ func TestParseDownlink(t *testing.T) {
 	}
 }
 
-// raceEnabled is set by race_test.go when the race detector is on.
-var raceEnabled bool
-
 // randWalk returns length-n vectors base and cur where cur is base plus a
 // small per-coordinate step — the shape of consecutive model versions.
 func randWalk(n int, rng *rand.Rand) (base, cur []float64) {
@@ -114,7 +110,7 @@ func TestXORDeltaRejectsBadPayloads(t *testing.T) {
 	corrupt := append([]byte(nil), payload...)
 	corrupt[xorDeltaHeader] ^= 0xFF
 	if _, err := applyXORDelta(corrupt, base); err == nil {
-		t.Log("corrupt stream happened to inflate; acceptable (flate has no checksum)")
+		t.Log("corrupt payload happened to decode; acceptable (the format has no checksum)")
 	}
 	// A payload built for a longer vector must not apply to a shorter base.
 	long := encodeXORDelta(make([]float64, 5), make([]float64, 5))
@@ -126,25 +122,104 @@ func TestXORDeltaRejectsBadPayloads(t *testing.T) {
 	}
 }
 
-// freshXORDelta is the unpooled reference encoding of an XOR delta: the
-// same wire format as encodeXORDelta, built with a brand-new BestSpeed
-// flate writer per payload.
-func freshXORDelta(cur, base []float64) []byte {
-	var buf bytes.Buffer
-	var hdr [xorDeltaHeader]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(cur)))
-	buf.Write(hdr[:])
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		panic(err)
+// packXOR lays out a packed XOR delta payload for the words xs stored at
+// the given widths, whether or not they are the minimal ones.
+func packXOR(xs []uint64, ws []int) []byte {
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(len(xs)))
+	payload = append(payload, xorPacked)
+	widths := make([]byte, (len(xs)+1)/2)
+	for i, w := range ws {
+		widths[i/2] |= byte(w) << (4 * (i % 2))
 	}
-	raw := make([]byte, 8*len(cur))
+	payload = append(payload, widths...)
+	for i, x := range xs {
+		for k := 0; k < ws[i]; k++ {
+			payload = append(payload, byte(x>>(8*k)))
+		}
+	}
+	return payload
+}
+
+// rawXOR lays out a payload of the words xs as they are, under the given
+// mode byte.
+func rawXOR(mode byte, xs []uint64) []byte {
+	payload := append(binary.LittleEndian.AppendUint64(nil, uint64(len(xs))), mode)
+	for _, x := range xs {
+		payload = binary.LittleEndian.AppendUint64(payload, x)
+	}
+	return payload
+}
+
+// nonCanonicalXOR returns payloads for a 3-vector of zeros that differ
+// from what encodeXORDelta would send in exactly one rule each, plus the
+// canonical one (which must decode) under "canonical".
+func nonCanonicalXOR() map[string][]byte {
+	xs := []uint64{0x12_3456, 0, 0x0100_0000_0000}
+	ws := []int{3, 0, 6}
+	canonical := packXOR(xs, ws)
+	withByte := func(i int, b byte) []byte {
+		p := append([]byte(nil), canonical...)
+		p[i] = b
+		return p
+	}
+	full := []uint64{1 << 63, 1 << 63, 1 << 63}
+	return map[string][]byte{
+		"canonical": canonical,
+		// Each edit below adds the data bytes its new widths claim, so only
+		// the rule it breaks can reject it.
+		"width 9":                append(withByte(xorDeltaHeader, 0x09), make([]byte, 6)...),
+		"width 15":               append(withByte(xorDeltaHeader, 0xF3), make([]byte, 15)...),
+		"pad nibble":             append(withByte(xorDeltaHeader+1, 0x16), 1),
+		"non-minimal":            packXOR(xs, []int{4, 0, 6}),
+		"zero stored":            packXOR(xs, []int{3, 1, 6}),
+		"mode 2":                 rawXOR(2, full),
+		"raw, packable":          rawXOR(xorRaw, xs),
+		"packed, raw is smaller": packXOR(full, []int{8, 8, 8}),
+		"trailing byte":          append(append([]byte(nil), canonical...), 0),
+	}
+}
+
+func TestXORDeltaRejectsNonCanonical(t *testing.T) {
+	base := make([]float64, 3)
+	for name, p := range nonCanonicalXOR() {
+		_, err := applyXORDelta(p, base)
+		if name == "canonical" {
+			if err != nil {
+				t.Fatalf("canonical payload rejected: %v", err)
+			}
+			if !bytes.Equal(p, refXORDelta([]float64{
+				math.Float64frombits(0x12_3456), 0, math.Float64frombits(0x0100_0000_0000),
+			}, base)) {
+				t.Fatal("canonical payload differs from the reference encoder's")
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s payload accepted", name)
+		}
+	}
+}
+
+// refXORDelta is a deliberately naive encoder of the XOR delta format,
+// written from the layout rather than from encodeXORDelta: it finds each
+// width by scanning bytes down from the top, and lays the payload out
+// with packXOR, or rawXOR when packing is larger than the 8n XOR bytes.
+func refXORDelta(cur, base []float64) []byte {
+	xs := make([]uint64, len(cur))
+	ws := make([]int, len(cur))
+	packed := (len(cur) + 1) / 2
 	for i := range cur {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(cur[i])^math.Float64bits(base[i]))
+		xs[i] = math.Float64bits(cur[i]) ^ math.Float64bits(base[i])
+		ws[i] = 8
+		for ws[i] > 0 && xs[i]>>(8*(ws[i]-1)) == 0 {
+			ws[i]--
+		}
+		packed += ws[i]
 	}
-	zw.Write(raw)
-	zw.Close()
-	return buf.Bytes()
+	if packed > 8*len(cur) {
+		return rawXOR(xorRaw, xs)
+	}
+	return packXOR(xs, ws)
 }
 
 // losslessLane is one receiver-plus-chain pair walking its own seeded
@@ -168,7 +243,7 @@ func newLosslessLane(n int, seed int64) *losslessLane {
 }
 
 // step advances the lane one broadcast: it moves cur, encodes it through
-// the chain, and checks the payload against the unpooled reference and
+// the chain, and checks the payload against the reference encoder and
 // the receiver's reconstruction against cur, bit for bit. It returns the
 // payload for further abuse.
 func (l *losslessLane) step() ([]byte, error) {
@@ -182,13 +257,13 @@ func (l *losslessLane) step() ([]byte, error) {
 		}
 	}
 	n := len(l.cur)
-	want := freshXORDelta(l.cur, l.held)
+	want := refXORDelta(l.cur, l.held)
 	payload, id := l.ch.Encode(l.cur)
 	if id != IDDeltaXOR {
 		return nil, fmt.Errorf("n=%d: lossless chain emitted codec id %d", n, id)
 	}
 	if !bytes.Equal(payload, want) {
-		return nil, fmt.Errorf("n=%d: pooled payload (%d B) differs from a fresh writer's (%d B)", n, len(payload), len(want))
+		return nil, fmt.Errorf("n=%d: chain payload (%d B) differs from the reference encoder's (%d B)", n, len(payload), len(want))
 	}
 	got, err := ApplyDelta(id, payload, l.held)
 	if err != nil {
@@ -203,21 +278,20 @@ func (l *losslessLane) step() ([]byte, error) {
 	return payload, nil
 }
 
-// TestXORDeltaPooledByteIdentity pins the pooled flate state to the wire
-// format: two chains interleaved through the shared pools emit exactly
-// the payloads fresh writers would, receivers reconstruct every step bit
-// for bit, and a decode that fails partway through a corrupt or
-// truncated stream leaves no state behind for the next payload.
-func TestXORDeltaPooledByteIdentity(t *testing.T) {
+// TestXORDeltaReferenceByteIdentity pins the encoder to the wire format:
+// two chains interleaved step by step emit exactly the payloads the naive
+// reference encoder builds, receivers reconstruct every step bit for bit,
+// and truncated payloads are rejected.
+func TestXORDeltaReferenceByteIdentity(t *testing.T) {
 	// A zero-length vector never gets a chain base, so check it at the
 	// payload level.
-	if got, want := encodeXORDelta(nil, nil), freshXORDelta(nil, nil); !bytes.Equal(got, want) {
+	if got, want := encodeXORDelta(nil, nil), refXORDelta(nil, nil); !bytes.Equal(got, want) {
 		t.Fatalf("n=0: payload %x, want %x", got, want)
 	}
 	if out, err := applyXORDelta(encodeXORDelta(nil, nil), nil); err != nil || len(out) != 0 {
 		t.Fatalf("n=0: applyXORDelta = %v, %v", out, err)
 	}
-	for _, n := range []int{1, 7, 300, 1899, 9000} { // 9000: a multi-block stream
+	for _, n := range []int{1, 7, 300, 1899, 9000} {
 		a, b := newLosslessLane(n, int64(n)), newLosslessLane(n+1, int64(n)+1)
 		for s := 0; s < 6; s++ {
 			pa, err := a.step()
@@ -227,23 +301,20 @@ func TestXORDeltaPooledByteIdentity(t *testing.T) {
 			if _, err := b.step(); err != nil {
 				t.Fatal(err)
 			}
-			// Truncating the flate stream fails inside the inflater; the
-			// pooled reader must come back clean.
 			if _, err := ApplyDelta(IDDeltaXOR, pa[:len(pa)-1], a.held); err == nil {
-				t.Fatalf("n=%d: truncated stream accepted", n)
+				t.Fatalf("n=%d: truncated payload accepted", n)
 			}
 			corrupt := append([]byte(nil), pa...)
 			corrupt[xorDeltaHeader+(len(corrupt)-xorDeltaHeader)/2] ^= 0x5A
-			ApplyDelta(IDDeltaXOR, corrupt, a.held) // may or may not inflate
+			ApplyDelta(IDDeltaXOR, corrupt, a.held) // may decode to other values
 		}
 	}
 }
 
-// TestXORDeltaPoolConcurrent runs many chains and receivers through the
-// shared pools at once, with vector lengths differing across goroutines
-// so pooled scratch is regrown and reused at every size. Run it under
-// -race.
-func TestXORDeltaPoolConcurrent(t *testing.T) {
+// TestXORDeltaConcurrent runs many chains and receivers at once, with
+// vector lengths differing across goroutines, each checked against the
+// reference encoder. Run it under -race.
+func TestXORDeltaConcurrent(t *testing.T) {
 	const workers, steps = 8, 12
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -262,55 +333,106 @@ func TestXORDeltaPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// inflateAllocs reports what compress/flate itself allocates to inflate
-// a payload's stream through an already-warm reader. The stdlib decoder
-// builds fresh Huffman link tables for each dynamic block whose codes
-// exceed 9 bits and cannot reuse them, so this is the floor for any
-// flate-based decode.
-func inflateAllocs(payload []byte, n int) float64 {
-	var br bytes.Reader
-	zr := flate.NewReader(&br)
-	raw := make([]byte, 8*n)
-	return testing.AllocsPerRun(100, func() {
-		br.Reset(payload[xorDeltaHeader:])
-		zr.(flate.Resetter).Reset(&br, nil)
-		io.ReadFull(zr, raw)
-	})
+// worstCaseVectors returns (base, cur) pairs of length n built to defeat
+// the packing: every sign flipped, every exponent changed, NaNs with
+// payload bits, signed zeros, subnormals, and nothing changed at all.
+func worstCaseVectors(n int) map[string][2][]float64 {
+	rng := rand.New(rand.NewSource(int64(n) + 42))
+	mk := func(f func(i int) (b, c float64)) [2][]float64 {
+		base, cur := make([]float64, n), make([]float64, n)
+		for i := range base {
+			base[i], cur[i] = f(i)
+		}
+		return [2][]float64{base, cur}
+	}
+	return map[string][2][]float64{
+		"sign": mk(func(int) (float64, float64) { v := rng.NormFloat64(); return v, -v }),
+		"exponent": mk(func(int) (float64, float64) {
+			v := rng.NormFloat64()
+			return v, v * 0x1p300
+		}),
+		"nan": mk(func(int) (float64, float64) {
+			return rng.NormFloat64(), math.Float64frombits(0x7FF0_0000_0000_0001 | rng.Uint64()>>13 | rng.Uint64()&(1<<63))
+		}),
+		"zeros": mk(func(i int) (float64, float64) {
+			if i%2 == 0 {
+				return 0, math.Copysign(0, -1)
+			}
+			return math.Copysign(0, -1), 0
+		}),
+		"subnormal": mk(func(int) (float64, float64) {
+			return math.Float64frombits(rng.Uint64() >> 12), math.Float64frombits(rng.Uint64() >> 12)
+		}),
+		"random": mk(func(int) (float64, float64) {
+			return math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64())
+		}),
+		"unchanged": mk(func(int) (float64, float64) { v := rng.NormFloat64(); return v, v }),
+	}
 }
 
-// TestXORDeltaSteadyStateAllocs guards the pooling: once warm, a lossless
-// Chain.Encode allocates only the payload it returns, and ApplyDelta only
-// the vector it returns on top of compress/flate's own per-block tables.
-// AllocsPerRun averages, so an occasional pool refill after a GC does not
-// count against the bound.
-func TestXORDeltaSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries at random under the race detector")
+// TestXORDeltaWorstCaseSize checks the raw fallback's guarantee: whatever
+// the vectors, a payload is at most 9+8n bytes, matches the reference
+// encoder, and round-trips bit for bit.
+func TestXORDeltaWorstCaseSize(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 64, 1001} {
+		for name, v := range worstCaseVectors(n) {
+			base, cur := v[0], v[1]
+			payload := encodeXORDelta(cur, base)
+			if len(payload) > 9+8*n {
+				t.Errorf("%s n=%d: payload %d bytes > 9+8n = %d", name, n, len(payload), 9+8*n)
+			}
+			if !bytes.Equal(payload, refXORDelta(cur, base)) {
+				t.Errorf("%s n=%d: payload differs from the reference encoder's", name, n)
+			}
+			got, err := applyXORDelta(payload, base)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			for i := range cur {
+				if math.Float64bits(got[i]) != math.Float64bits(cur[i]) {
+					t.Fatalf("%s n=%d coord %d: got %x want %x", name, n, i, math.Float64bits(got[i]), math.Float64bits(cur[i]))
+				}
+			}
+		}
 	}
-	for _, n := range []int{1899, 20_000} { // one flate block, and several
+	// Full-width words every time: only the raw mode fits in 9+8n.
+	v := worstCaseVectors(5)["sign"]
+	if p := encodeXORDelta(v[1], v[0]); p[8] != xorRaw || len(p) != 9+8*5 {
+		t.Fatalf("all-sign-flip payload: mode %d, %d bytes; want raw, %d", p[8], len(p), 9+8*5)
+	}
+}
+
+// TestXORDeltaSteadyStateAllocs pins the allocation count: a lossless
+// Chain.Encode allocates only the payload it returns (sized exactly in a
+// first pass), and ApplyDelta only the vector it returns.
+func TestXORDeltaSteadyStateAllocs(t *testing.T) {
+	for _, n := range []int{1899, 20_000} {
 		v0, v1 := benchWalkPair(n)
 		ch := (&Downlink{}).NewChain()
 		ch.Adopt(v0)
 		vs := [2][]float64{v1, v0}
 		i := 0
-		if got := testing.AllocsPerRun(100, func() { ch.Encode(vs[i&1]); i++ }); got > 1 {
+		if got := testing.AllocsPerRun(100, func() { ch.Encode(vs[i&1]); i++ }); got != 1 {
 			t.Errorf("n=%d: Chain.Encode allocates %v times per call, want 1 (the payload)", n, got)
 		}
-		payload, id := encodeXORDelta(v1, v0), IDDeltaXOR
-		floor := inflateAllocs(payload, n)
+		payload := encodeXORDelta(v1, v0)
+		if cap(payload) != len(payload) {
+			t.Errorf("n=%d: payload capacity %d, length %d: not sized exactly", n, cap(payload), len(payload))
+		}
 		got := testing.AllocsPerRun(100, func() {
-			if _, err := ApplyDelta(id, payload, v0); err != nil {
+			if _, err := ApplyDelta(IDDeltaXOR, payload, v0); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if got > 1+floor {
-			t.Errorf("n=%d: ApplyDelta allocates %v times per call, want <= 1 (the vector) + %v (flate's own)", n, got, floor)
+		if got != 1 {
+			t.Errorf("n=%d: ApplyDelta allocates %v times per call, want 1 (the vector)", n, got)
 		}
 	}
 }
 
-// deflateBomb is an XOR delta payload claiming n params whose stream
-// inflates to size bytes of zeros.
+// deflateBomb is a count claiming n params followed by a DEFLATE stream
+// that inflates to size bytes of zeros: the hostile payload for a
+// compressed delta format, and garbage to the packed one.
 func deflateBomb(n, size int) []byte {
 	var buf bytes.Buffer
 	var hdr [xorDeltaHeader]byte
@@ -322,9 +444,10 @@ func deflateBomb(n, size int) []byte {
 	return buf.Bytes()
 }
 
-// TestXORDeltaRejectsDeflateBomb checks that a stream inflating far past
-// the 8n bytes its header promises is rejected after at most 8n+1
-// inflated bytes, without the receiver's heap growing with the bomb.
+// TestXORDeltaRejectsDeflateBomb checks that garbage after a valid count
+// is rejected without the receiver allocating more than the output
+// vector would take: a deflate bomb (the hostile shape for a compressed
+// delta format) and random streams of every length up to a few kB.
 func TestXORDeltaRejectsDeflateBomb(t *testing.T) {
 	const n, size = 64, 4 << 20
 	bomb := deflateBomb(n, size)
@@ -338,6 +461,26 @@ func TestXORDeltaRejectsDeflateBomb(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("rejecting a %d-byte bomb allocated %d bytes", len(bomb), grew)
+	}
+	rng := rand.New(rand.NewSource(6))
+	var garbage [][]byte
+	for size := 0; size < 4096; size += 1 + size/8 {
+		g := binary.LittleEndian.AppendUint64(nil, n)
+		for i := 0; i < size; i++ {
+			g = append(g, byte(rng.Intn(256)))
+		}
+		garbage = append(garbage, g)
+	}
+	runtime.ReadMemStats(&before)
+	for _, g := range garbage {
+		if _, err := ApplyDelta(IDDeltaXOR, g, base); err == nil {
+			t.Fatalf("%d bytes of garbage accepted for n=%d", len(g), n)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// An error value costs some bytes; the output vector is never built.
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(garbage)); per > 8*n {
+		t.Fatalf("rejecting garbage allocated %d bytes per payload, more than the %d-byte output", per, 8*n)
 	}
 }
 
@@ -477,7 +620,7 @@ func TestChainEncodePanicsWithoutBase(t *testing.T) {
 
 // downlinkBenchSizes are the vector lengths the downlink layer benches
 // run at: the perfbench MLP (1,899 params, 15,192 dense bytes) and a
-// ~100k-param model where the 8n-byte XOR stream dominates.
+// ~100k-param model where the per-coordinate work dominates.
 var downlinkBenchSizes = []int{1899, 100_000}
 
 // benchWalkPair returns two consecutive model versions of length n: a
@@ -488,7 +631,8 @@ func benchWalkPair(n int) (a, b []float64) {
 
 // BenchmarkChainEncodeLossless is the server side of one lossless tier
 // round: Chain.Encode alternates between two nearby versions, so every
-// op deflates the same small-step XOR stream.
+// op packs the same small-step XOR stream. payload/dense is the payload
+// size over the dense broadcast it replaces.
 func BenchmarkChainEncodeLossless(b *testing.B) {
 	for _, n := range downlinkBenchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -499,9 +643,11 @@ func BenchmarkChainEncodeLossless(b *testing.B) {
 			b.SetBytes(int64(DenseBytes(n)))
 			b.ReportAllocs()
 			b.ResetTimer()
+			var payload []byte
 			for i := 0; i < b.N; i++ {
-				ch.Encode(vs[i&1])
+				payload, _ = ch.Encode(vs[i&1])
 			}
+			b.ReportMetric(float64(len(payload))/float64(DenseBytes(n)), "payload/dense")
 		})
 	}
 }

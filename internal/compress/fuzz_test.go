@@ -2,11 +2,6 @@ package compress
 
 import (
 	"bytes"
-	"compress/flate"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 	"math"
 	"testing"
 )
@@ -106,15 +101,12 @@ func FuzzTopKDecode(f *testing.F) {
 }
 
 // FuzzApplyDeltaXOR feeds arbitrary lossless delta payloads to a fixed
-// base through the pooled decoder. ApplyDelta must never panic; it either
-// rejects the payload or returns exactly len(base) values, and it must
-// agree with a fresh flate reader capped at 8n+1 inflated bytes, so a
-// stream inflating past the 8n bytes its header promises (a deflate
-// bomb) is always rejected. Decodes that fail halfway leave the pooled
-// reader behind for the next input, so a poisoned reader shows up as a
-// disagreement on a later one.
+// base. ApplyDelta must never panic; a payload it accepts must decode to
+// exactly len(base) values and be canonical: encoding the decoded vector
+// against the base reproduces the payload byte for byte, so trailing
+// data, padding and over-wide words never get through.
 func FuzzApplyDeltaXOR(f *testing.F) {
-	base := testVector(64, 5)
+	base := testVector(65, 5) // odd, so the last width byte has a pad nibble
 	n := len(base)
 	ch := (&Downlink{}).NewChain()
 	ch.Adopt(base)
@@ -124,13 +116,13 @@ func FuzzApplyDeltaXOR(f *testing.F) {
 		cur[step*7+1] = math.Copysign(0, -1)
 		// Each payload is against the chain's previous base, which is not
 		// the fuzz base after the first step: those decode to something
-		// else, which is still a valid stream.
+		// else, which is still a valid payload.
 		p, _ := ch.Encode(cur)
 		f.Add(p)
 	}
 	valid := encodeXORDelta(cur, base)
 	f.Add(valid)
-	f.Add(encodeXORDelta(base, base)) // all-zero stream
+	f.Add(encodeXORDelta(base, base)) // every word unchanged
 	// The bad payloads TestXORDeltaRejectsBadPayloads uses.
 	f.Add(valid[:4])                                                  // truncated header
 	f.Add(encodeXORDelta(base[:n-1], base[:n-1]))                     // length mismatch
@@ -140,46 +132,51 @@ func FuzzApplyDeltaXOR(f *testing.F) {
 	corrupt[xorDeltaHeader] ^= 0xFF
 	f.Add(corrupt)
 	f.Add(deflateBomb(n, 1<<20))
+	// One rule broken at a time, each with the data bytes its widths
+	// claim: width nibbles 9 and 15 and a nonzero pad nibble; then a
+	// non-minimal width, the wrong mode either way and an unknown mode.
+	w := valid[xorDeltaHeader]
+	last := xorDeltaHeader + (n+1)/2 - 1
+	for _, e := range []struct {
+		at    int
+		b     byte
+		extra int
+	}{
+		{xorDeltaHeader, w&0xF0 | 9, 9 - int(w&15)},
+		{xorDeltaHeader, w&15 | 0xF0, 15 - int(w>>4)},
+		{last, valid[last] | 0x10, 1},
+	} {
+		p := append([]byte(nil), valid...)
+		p[e.at] = e.b
+		f.Add(append(p, make([]byte, e.extra)...))
+	}
+	xs := make([]uint64, n)
+	ws := make([]int, n)
+	for i := range xs {
+		xs[i] = math.Float64bits(cur[i]) ^ math.Float64bits(base[i])
+		ws[i] = xorWidth(xs[i])
+	}
+	ws[n-1]++ // unchanged last word stored in one zero byte
+	f.Add(packXOR(xs, ws))
+	f.Add(rawXOR(xorRaw, xs)) // raw mode for words that pack smaller
+	sign := make([]float64, n)
+	for i := range sign {
+		sign[i] = -base[i]
+		xs[i], ws[i] = 1<<63, 8
+	}
+	f.Add(encodeXORDelta(sign, base)) // raw mode
+	f.Add(packXOR(xs, ws))            // the same words packed, larger than raw
+	f.Add(rawXOR(2, xs))              // an unknown mode
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ApplyDelta(IDDeltaXOR, data, base)
-		want, wantErr := refApplyXOR(data, base)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("pooled decode err=%v, fresh reader err=%v", err, wantErr)
-		}
 		if err != nil {
 			return
 		}
 		if len(got) != n {
 			t.Fatalf("accepted payload decoded to %d values, want %d", len(got), n)
 		}
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("coord %d: pooled %x, fresh %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
+		if re := encodeXORDelta(got, base); !bytes.Equal(re, data) {
+			t.Fatalf("accepted payload is not canonical: %x re-encodes to %x", data, re)
 		}
 	})
-}
-
-// refApplyXOR decodes an XOR delta payload with a brand-new flate reader
-// that can yield at most 8n+1 bytes, whatever the stream holds.
-func refApplyXOR(payload []byte, base []float64) ([]float64, error) {
-	if len(payload) < xorDeltaHeader || binary.LittleEndian.Uint64(payload) != uint64(len(base)) {
-		return nil, errors.New("bad header")
-	}
-	zr := flate.NewReader(bytes.NewReader(payload[xorDeltaHeader:]))
-	raw, err := io.ReadAll(io.LimitReader(zr, int64(8*len(base)+1)))
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) != 8*len(base) {
-		return nil, fmt.Errorf("stream inflates to %d bytes, want %d", len(raw), 8*len(base))
-	}
-	if err := zr.Close(); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(base))
-	for i := range out {
-		out[i] = math.Float64frombits(math.Float64bits(base[i]) ^ binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out, nil
 }

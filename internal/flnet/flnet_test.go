@@ -25,6 +25,11 @@ func echoTrain(delta float64, n int, sleep time.Duration) TrainFunc {
 	}
 }
 
+// pacedTrain is how long echo workers train in tests that need every
+// tier to run rounds: with instant training one tier can finish all the
+// commits before a loaded scheduler first runs another tier's loop.
+const pacedTrain = 2 * time.Millisecond
+
 // startWorkers launches workers in goroutines and returns a wait function.
 func startWorkers(t *testing.T, addr string, cfgs []WorkerConfig) func() {
 	t.Helper()

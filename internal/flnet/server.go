@@ -568,13 +568,14 @@ func decodeUpdate(w *registered, env *Envelope, weights []float64) (flcore.Updat
 		if !w.acceptsCodec(cu.Codec) {
 			return flcore.Update{}, false
 		}
-		delta, err := compress.DecodePayload(cu.Codec, cu.Payload, len(weights))
+		rec, err := compress.DecodePayload(cu.Codec, cu.Payload, len(weights))
 		if err != nil {
 			return flcore.Update{}, false
 		}
-		rec := make([]float64, len(weights))
+		// DecodePayload returns a slice the caller owns: add the base into
+		// it rather than into a second vector.
 		for i := range rec {
-			rec[i] = weights[i] + delta[i]
+			rec[i] = weights[i] + rec[i]
 		}
 		return flcore.Update{
 			ClientID: cu.ClientID, Weights: rec,

@@ -137,10 +137,10 @@ type TieredAsyncConfig struct {
 	// broadcast matches that base — everyone else (first contact, a missed
 	// round, a migrated worker, a resume, any worker below
 	// ProtoDeltaDownlink) receives the dense snapshot and adopts it as its
-	// new base. With a nil Codec the delta is the lossless XOR stream and
-	// the run is byte-identical to a dense one; with a lossy codec the
-	// chain keeps a server-side error-feedback residual per tier. nil
-	// keeps the dense broadcast everywhere.
+	// new base. With a nil Codec the delta is the lossless byte-packed XOR
+	// of bit patterns and the run is byte-identical to a dense one; with a
+	// lossy codec the chain keeps a server-side error-feedback residual
+	// per tier. nil keeps the dense broadcast everywhere.
 	Downlink *compress.Downlink
 }
 

@@ -158,7 +158,7 @@ func TestTieredAsyncNetToleratesDisconnect(t *testing.T) {
 	// Tiers {0,1}, {2,3}, {4,5}; worker 3 dies on its tier's round 1.
 	tiers := [][]int{{0, 1}, {2, 3}, {4, 5}}
 	for id := 0; id < 6; id++ {
-		train := echoTrain(1, 1, 0)
+		train := echoTrain(1, 1, pacedTrain)
 		if id == 3 {
 			inner := train
 			train = func(round int, weights []float64) ([]float64, int, error) {

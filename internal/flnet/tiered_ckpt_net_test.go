@@ -475,7 +475,7 @@ func TestTieredAsyncNetCodecRenegotiationOnReassign(t *testing.T) {
 		id := id
 		cfg := WorkerConfig{
 			ClientID: id, NumSamples: 1,
-			Train:         echoTrain(1, 1, 0),
+			Train:         echoTrain(1, 1, pacedTrain),
 			ReportSeconds: func(round int) float64 { return reported[id] },
 		}
 		if id == 1 {

@@ -224,7 +224,7 @@ func TestTieredAsyncNetWorkerDeathDuringReassign(t *testing.T) {
 	var sawReassign atomic.Int32
 	for id := 0; id < 4; id++ {
 		id := id
-		train := echoTrain(1, 1, 0)
+		train := echoTrain(1, 1, pacedTrain)
 		if id == 1 {
 			inner := train
 			train = func(round int, weights []float64) ([]float64, int, error) {

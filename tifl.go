@@ -103,7 +103,7 @@ func TopKCodec(fraction float64) Codec { return compress.NewTopK(fraction) }
 func ParseCodec(spec string) (Codec, error) { return compress.Parse(spec) }
 
 // Delta is the lossless downlink mode: broadcasts travel as the
-// DEFLATE-compressed XOR of float64 bit patterns against each worker's
+// byte-packed XOR of float64 bit patterns against each worker's
 // last-acked version, reconstructing bit-exactly (see compress.Downlink).
 func Delta() *Downlink { return &compress.Downlink{} }
 
